@@ -37,7 +37,6 @@ from repro.surf.elastic import ElasticBatchEvaluator
 from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator
 from repro.surf.exhaustive import ExhaustiveSearch
 from repro.surf.faults import FaultInjectingEvaluator, FaultSpec
-from repro.surf.parallel import ParallelBatchEvaluator
 from repro.surf.pool import SpacePool, as_pool
 from repro.surf.random_search import RandomSearch
 from repro.surf.resilience import ResilientEvaluator
@@ -151,20 +150,16 @@ class Autotuner:
     seed:
         Master seed: pool sampling, surrogate, measurement noise.
     batch_parallelism:
-        Concurrent lanes of the simulated tuning rig — affects only the
-        simulated wall-clock accounting (Table II's "Search"), never the
-        objective values.
+        Concurrent lanes of the simulated tuning rig (the CLI's
+        ``--workers``) — affects only the simulated wall-clock accounting
+        (Table II's "Search"), never the objective values.  The simulated
+        wall is part of the stored result, so the knob is store-keyed.
     cache:
         Evaluation memoization.  ``True`` keeps an in-memory store shared
         by every ``tune_*`` call on this instance; a path string enables
         the persistent JSON-lines store as well.  ``None`` (default)
         consults the ``REPRO_EVAL_CACHE`` environment variable (a path;
         empty/unset = off), so batch drivers can switch it on fleet-wide.
-    workers:
-        Fan ``evaluate_batch`` out over this many worker threads
-        (``parallel_executor="process"`` for processes).  Results are
-        bitwise-identical to serial runs; ``None`` consults
-        ``REPRO_EVAL_WORKERS``.
     elastic:
         Evaluate batches on an **elastic coordinator/worker pool** (see
         :mod:`repro.surf.elastic`): spawn this many local worker
@@ -189,8 +184,8 @@ class Autotuner:
         Fan the *search core's* hot loops — per-refit forest fits, the
         full-pool predict pass, the odometer encode — out over this many
         worker processes sharing the pool through shared memory (see
-        :mod:`repro.surf.shared`).  Orthogonal to ``workers`` (which
-        parallelizes evaluation): results are bitwise-identical for every
+        :mod:`repro.surf.shared`).  Orthogonal to ``elastic`` (which
+        moves evaluation elsewhere): results are bitwise-identical for every
         worker count, so the knob is result-store-neutral and absent from
         run fingerprints (a checkpoint may resume under a different
         count).  ``None`` consults ``REPRO_SEARCH_WORKERS`` (unset = 1,
@@ -201,24 +196,6 @@ class Autotuner:
         bound ``mean - kappa*std`` from one combined tree descent).
         Non-default values change the search course and are therefore
         fingerprinted and store-keyed.
-    telemetry:
-        Emit per-batch :class:`~repro.surf.telemetry.SearchTelemetry`
-        records on every ``SearchResult`` (on by default; costs nothing
-        measurable and never affects search decisions).
-    fast_model:
-        Precompute per-variant
-        :class:`~repro.gpusim.timing_table.ProgramTimingTable`\\ s and
-        score configurations by table lookup instead of re-running the
-        scalar model per point.  Results are bitwise identical (the
-        tables reproduce ``program_timing`` exactly, and measurement
-        noise is layered on from the same per-point rng substream);
-        it only shifts where the time goes — one vectorized pass up
-        front instead of per-evaluation model runs.  ``None`` (default)
-        consults ``REPRO_FAST_MODEL`` (unset/empty/"0" = off).
-    sweep_full:
-        With ``searcher="sweep"``, materialize the broadcast-summed
-        totals of the entire product space per variant instead of the
-        per-kernel argmin (same answer; bounded memory guard applies).
     faults:
         Deterministic fault injection (see :mod:`repro.surf.faults`): a
         :class:`FaultSpec`, a spec string for :meth:`FaultSpec.parse`, or
@@ -282,16 +259,11 @@ class Autotuner:
         per_variant: bool = False,
         batch_parallelism: int = 1,
         cache: bool | str | Path | None = None,
-        workers: int | None = None,
         elastic: int | None = None,
         spool: str | Path | None = None,
         lease_ttl: float = 30.0,
         search_workers: int | None = None,
         acquisition: str = "mean",
-        telemetry: bool = True,
-        parallel_executor: str = "thread",
-        fast_model: bool | None = None,
-        sweep_full: bool = False,
         faults: FaultSpec | str | None = None,
         max_retries: int = 2,
         resilient: bool | None = None,
@@ -324,9 +296,6 @@ class Autotuner:
         if cache is None:
             cache = os.environ.get("REPRO_EVAL_CACHE") or False
         self.cache_spec: bool | str | Path = cache
-        if workers is None:
-            workers = int(os.environ.get("REPRO_EVAL_WORKERS", "1") or 1)
-        self.workers = max(1, workers)
         if elastic is None:
             elastic = int(os.environ.get("REPRO_ELASTIC", "0") or 0)
         self.elastic = max(0, elastic)
@@ -336,12 +305,6 @@ class Autotuner:
         self.lease_ttl = float(lease_ttl)
         self.search_workers = resolve_search_workers(search_workers)
         self.acquisition = acquisition
-        self.telemetry = telemetry
-        self.parallel_executor = parallel_executor
-        if fast_model is None:
-            fast_model = os.environ.get("REPRO_FAST_MODEL", "") not in ("", "0")
-        self.fast_model = bool(fast_model)
-        self.sweep_full = sweep_full
         if faults is None:
             faults = os.environ.get("REPRO_FAULTS", "")
         if isinstance(faults, str):
@@ -414,10 +377,10 @@ class Autotuner:
     def _build_evaluator(
         self,
         programs: list[TCRProgram],
-        tables: list[ProgramTimingTable] | None = None,
+        tables: list[ProgramTimingTable],
     ) -> BatchEvaluator:
         """Stack the evaluation engine, innermost first:
-        model -> fault injection -> cache -> retry/quarantine -> fan-out."""
+        model -> fault injection -> cache -> retry/quarantine -> elastic."""
         evaluator: BatchEvaluator = ConfigurationEvaluator(
             programs,
             self.model,
@@ -441,18 +404,11 @@ class Autotuner:
                 quarantine=self._quarantine(),
             )
         if self.elastic_enabled:
-            # The elastic pool replaces the in-process fan-out at the same
-            # stack position; `workers` parallelism would be redundant
-            # underneath it (lease scheduling already spreads the batch).
             evaluator = ElasticBatchEvaluator(
                 evaluator,
                 spool=self._spool_dir(),
                 workers=self.elastic,
                 lease_ttl=self.lease_ttl,
-            )
-        elif self.workers > 1:
-            evaluator = ParallelBatchEvaluator(
-                evaluator, workers=self.workers, executor=self.parallel_executor
             )
         return evaluator
 
@@ -519,10 +475,7 @@ class Autotuner:
             "include_transfer": self.include_transfer,
             "per_variant": self.per_variant,
             "batch_parallelism": self.batch_parallelism,
-            "workers": self.workers,
             "search_workers": self.search_workers,
-            "fast_model": self.fast_model,
-            "sweep_full": self.sweep_full,
             "faults": self.faults.describe(),
             "max_retries": self.max_retries,
             "resilient": self.resilient,
@@ -618,10 +571,9 @@ class Autotuner:
                 workload=name, digest=key.digest(),
             )
             search = unpack_search(record["search"])
-            if self.telemetry:
-                # A fresh empty telemetry: totals() reports 0 evaluations,
-                # which is literally what this request cost.
-                search.telemetry = SearchTelemetry()
+            # A fresh empty telemetry: totals() reports 0 evaluations,
+            # which is literally what this request cost.
+            search.telemetry = SearchTelemetry()
             best = search.best_config
             best_program = programs[best.variant_index]
             return TuneResult(
@@ -731,21 +683,19 @@ class Autotuner:
             for i, p in enumerate(programs)
         ]
         tuning_space = TuningSpace(spaces)
-        tables = None
-        if self.fast_model or self.searcher_kind == "sweep":
-            tables = []
-            for p, s in zip(programs, spaces):
-                with tracer.span(
-                    "table.build", category="table", program=p.name
-                ):
-                    tables.append(ProgramTimingTable.build(self.model, p, s))
+        # Every searcher scores by timing-table lookup: bitwise identical to
+        # the scalar model, which stays the fallback for points a table
+        # cannot index.
+        tables = []
+        for p, s in zip(programs, spaces):
+            with tracer.span("table.build", category="table", program=p.name):
+                tables.append(ProgramTimingTable.build(self.model, p, s))
         if self.searcher_kind == "sweep":
             # The separable sweep reads the tables directly — no pool, no
             # evaluator; it optimizes the noise-free modeled time.
             searcher = SeparableExhaustiveSearch(
                 tables,
                 include_transfer=self.include_transfer,
-                full_sweep=self.sweep_full,
                 tuning_space=tuning_space,
             )
             pool = []
@@ -803,8 +753,6 @@ class Autotuner:
                 close = getattr(evaluator, "close", None)
                 if close is not None:
                     close()
-        if not self.telemetry:
-            result.telemetry = None
         best = result.best_config
         best_program = programs[best.variant_index]
         timing = self.model.program_timing(best_program, best)
@@ -874,9 +822,7 @@ class Autotuner:
             history=[h for r in results for h in r.search.history],
             evaluations=total_evals,
             simulated_wall_seconds=total_wall,
-            telemetry=SearchTelemetry.merged(r.search.telemetry for r in results)
-            if self.telemetry
-            else None,
+            telemetry=SearchTelemetry.merged(r.search.telemetry for r in results),
         )
         return TuneResult(
             name=name,

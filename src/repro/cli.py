@@ -61,18 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
         "ineligible operations fall back to loop nests)",
     )
     tune.add_argument(
-        "--fast-model", action="store_true", default=None,
-        help="score configurations by precomputed timing-table lookup "
-        "(bitwise identical to the scalar model; default: $REPRO_FAST_MODEL)",
-    )
-    tune.add_argument(
         "--per-variant", action="store_true",
         help="autotune each OCTOPI variant separately (the paper's flow)",
     )
     tune.add_argument(
-        "--workers", type=int, default=None,
-        help="evaluate batches over N worker threads (default: serial or "
-        "$REPRO_EVAL_WORKERS); results are identical to serial",
+        "--workers", type=int, default=1, metavar="N",
+        help="concurrent evaluation lanes of the simulated tuning rig "
+        "(default: 1): shortens the simulated search wall and is part of "
+        "the result-store key; champion, GFlops and history are unchanged",
     )
     tune.add_argument(
         "--elastic", type=int, default=None, metavar="N",
@@ -308,13 +304,12 @@ def _run_tune(args: argparse.Namespace) -> int:
         pool_size=args.pool,
         seed=args.seed,
         per_variant=args.per_variant,
+        batch_parallelism=args.workers,
         cache=cache,
-        workers=args.workers,
         elastic=args.elastic,
         spool=args.spool,
         lease_ttl=args.lease_ttl,
         search_workers=args.search_workers,
-        fast_model=args.fast_model,
         faults=args.faults,
         max_retries=args.retries,
         checkpoint_dir=args.checkpoint_dir,
@@ -330,37 +325,35 @@ def _run_tune(args: argparse.Namespace) -> int:
     print(result.summary())
     print(f"device rate (kernels only): {result.timing.device_gflops:.2f} GFlops")
     print(f"best configuration: {result.best_config.describe()}")
-    if result.search.telemetry is not None:
-        totals = result.search.telemetry.totals()
+    totals = result.search.telemetry.totals()
+    print(
+        f"telemetry: {totals['batches']} batches, "
+        f"{totals['evaluations']} model evals, "
+        f"{totals['cache_hits']} cache hits, "
+        f"surrogate fit {totals['fit_seconds']:.2f}s"
+    )
+    failures = {
+        key: int(totals.get(key, 0))
+        for key in ("invalid", "transient", "permanent", "retries",
+                    "quarantined")
+    }
+    if any(failures.values()):
         print(
-            f"telemetry: {totals['batches']} batches, "
-            f"{totals['evaluations']} model evals, "
-            f"{totals['cache_hits']} cache hits, "
-            f"surrogate fit {totals['fit_seconds']:.2f}s"
+            "failures: "
+            f"{failures['invalid']} invalid, "
+            f"{failures['transient']} transient, "
+            f"{failures['permanent']} permanent, "
+            f"{failures['retries']} retries, "
+            f"{failures['quarantined']} quarantined"
         )
-        failures = {
-            key: int(totals.get(key, 0))
-            for key in ("invalid", "transient", "permanent", "retries",
-                        "quarantined", "pool_rebuilds")
-        }
-        if any(failures.values()):
-            print(
-                "failures: "
-                f"{failures['invalid']} invalid, "
-                f"{failures['transient']} transient, "
-                f"{failures['permanent']} permanent, "
-                f"{failures['retries']} retries, "
-                f"{failures['quarantined']} quarantined, "
-                f"{failures['pool_rebuilds']} pool rebuilds"
-            )
-        if args.telemetry:
-            payload = result.search.telemetry.to_json()
-            if args.telemetry == "-":
-                print(payload)
-            else:
-                with open(args.telemetry, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-                print(f"telemetry written to {args.telemetry}")
+    if args.telemetry:
+        payload = result.search.telemetry.to_json()
+        if args.telemetry == "-":
+            print(payload)
+        else:
+            with open(args.telemetry, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+            print(f"telemetry written to {args.telemetry}")
     print("TCR program of the winning variant:")
     print(result.best_program.to_text())
     if args.trace:

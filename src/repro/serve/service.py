@@ -278,14 +278,10 @@ class TuningService:
                 )
             job.result = result
             job.store_hit = result.store_hit
-            if result.store_hit:
-                job.evaluation_count = 0
-            elif result.search.telemetry is not None:
-                job.evaluation_count = int(
-                    result.search.telemetry.totals()["evaluations"]
-                )
-            else:
-                job.evaluation_count = result.search.evaluations
+            # A hit carries a fresh empty telemetry: 0 evaluations.
+            job.evaluation_count = int(
+                result.search.telemetry.totals()["evaluations"]
+            )
             job.state = JobState.DONE
         except Exception as exc:  # jobs must never take the service down
             job.error = f"{type(exc).__name__}: {exc}"

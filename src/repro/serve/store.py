@@ -16,9 +16,11 @@ These are exactly the fields a :class:`~repro.obs.manifest.RunManifest`
 records, so the provenance layer doubles as the cache key: two requests
 with identical manifests would run bitwise-identical searches, which is
 what makes serving the stored result safe.  Settings documented to be
-result-neutral (``workers``, ``fast_model``, ``sweep_full`` — all
-bitwise-identical or same-answer by construction) are excluded from the
-key so an operational change cannot shatter the hit rate.
+result-neutral (``search_workers``, ``elastic`` — host concurrency that is
+bitwise-identical to serial by construction) are excluded from the key so
+an operational change cannot shatter the hit rate.  Simulated-rig
+concurrency (``batch_parallelism``, the CLI's ``--workers``) is *not*
+neutral: it changes the stored simulated search wall.
 
 On disk the store is a directory of **sharded append-only JSONL files**
 (``shard-NNN.jsonl``, shard chosen by key digest), each starting with a
@@ -72,22 +74,13 @@ STORE_FORMAT = 1
 #: The header ``kind`` tag — refuses headers of unrelated JSONL files.
 STORE_KIND = "repro-result-store"
 
-#: Autotuner settings that cannot change the tuned result (each is
-#: documented bitwise-identical or same-answer) and therefore must not
-#: fragment the content address.  The elastic knobs (worker count, spool
-#: location, lease TTL) are pure scheduling: the coordinator merges by
-#: (batch, lease ordinal), so any pool shape replays the serial bytes.
-RESULT_NEUTRAL_SETTINGS = frozenset(
-    {
-        "workers",
-        "search_workers",
-        "fast_model",
-        "sweep_full",
-        "elastic",
-        "spool",
-        "lease_ttl",
-    }
-)
+#: Manifest settings that cannot change the tuned result (each is
+#: documented bitwise-identical to serial) and therefore must not fragment
+#: the content address.  The elastic worker count is pure scheduling: the
+#: coordinator merges by (batch, lease ordinal), so any pool shape replays
+#: the serial bytes.  (The spool location and lease TTL never enter a
+#: manifest at all.)
+RESULT_NEUTRAL_SETTINGS = frozenset({"search_workers", "elastic"})
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,13 @@ bookkeeping happens once per batch on the driver thread):
     tables).
 ``CachedEvaluator`` (:mod:`repro.surf.cache`)
     Memoizes scores across runs, optionally persisted to a JSONL store.
-``ParallelBatchEvaluator`` (:mod:`repro.surf.parallel`)
-    Fans ``evaluate_batch`` out over a ``concurrent.futures`` pool.
+``ElasticBatchEvaluator`` (:mod:`repro.surf.elastic`)
+    Publishes each batch as leases that worker processes evaluate
+    elsewhere — the one off-thread evaluation path.
+
+The rig's concurrency is *simulated*: ``batch_parallelism`` lanes decide
+how a batch's evaluation walls add up (see :class:`BatchEvaluator`), while
+the evaluations themselves run wherever the stack puts them.
 """
 
 from __future__ import annotations
@@ -197,7 +202,7 @@ class BatchEvaluator:
         """Counters owned by inner layers (e.g. the quarantine gauge).
 
         Tallying happens once, at the top of the evaluator stack, but some
-        state (quarantine size, pool rebuilds) lives in wrapped layers;
+        state (the quarantine size) lives in wrapped layers;
         this hook lets it surface through however many wrappers sit above.
         """
         inner = getattr(self, "inner", None)
@@ -265,6 +270,8 @@ class ConfigurationEvaluator(BatchEvaluator):
         (the tables reproduce ``program_timing`` bitwise, and noise is
         applied on top from the same per-configuration rng substream).
         Configurations a table cannot index fall back to the scalar path.
+        The autotuner always supplies tables; without them every point
+        takes the scalar path (the parity oracle of the table tests).
     """
 
     def __init__(

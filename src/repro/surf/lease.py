@@ -141,6 +141,19 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+def _records(directory: Path) -> list[Path]:
+    """The published ``*.json`` files of a spool directory, sorted.
+
+    In-flight ``_atomic_write_json`` temporaries (``.tmp-NAME.json.PID``)
+    are not records: a worker that claimed one would hold a lease id no
+    coordinator ever published, and the real lease would go unclaimed.
+    """
+    try:
+        return sorted(p for p in directory.iterdir() if p.suffix == ".json")
+    except OSError:
+        return []
+
+
 def _read_json(path: Path) -> dict | None:
     """Load a JSON file, tolerating races (missing) and torn state (never
     produced by our atomic writers, but a shared directory is hostile)."""
@@ -299,12 +312,8 @@ class LeaseSpool:
     # -- leases (worker) -----------------------------------------------
     def list_claimable(self) -> list[str]:
         """Lease ids with no result and no claim, in (batch, ordinal) order."""
-        try:
-            published = sorted(p.stem for p in self.leases_dir.iterdir())
-        except OSError:
-            return []
         out = []
-        for lease_id in published:
+        for lease_id in (p.stem for p in _records(self.leases_dir)):
             if (self.results_dir / f"{lease_id}.json").exists():
                 continue
             if (self.claims_dir / f"{lease_id}.json").exists():
@@ -440,11 +449,8 @@ class LeaseSpool:
 
     def workers(self) -> list[dict]:
         """Every worker heartbeat record ever written, sorted by name."""
-        try:
-            paths = sorted(self.workers_dir.iterdir())
-        except OSError:
-            return []
-        return [w for w in (_read_json(p) for p in paths) if w is not None]
+        records = (_read_json(p) for p in _records(self.workers_dir))
+        return [w for w in records if w is not None]
 
     def live_workers(self, ttl: float) -> list[dict]:
         """Workers whose last heartbeat is younger than ``ttl`` seconds."""

@@ -130,6 +130,20 @@ class TestLeaseSpool:
         assert spool.read_result(lease) is None
         assert spool.list_claimable() == []
 
+    def test_in_flight_temporaries_are_not_claimable(
+        self, two_op_program, pool, tmp_path
+    ):
+        # Regression: a worker polling mid-publish listed the coordinator's
+        # atomic-write temporary as a lease, claimed that bogus id, and
+        # left the real lease unclaimed.
+        spool = LeaseSpool(tmp_path / "spool")
+        digest = spool.init_coordinator(self._evaluator(two_op_program))
+        lease = spool.publish(0, 0, 0, pool[:1], digest)
+        (spool.leases_dir / ".tmp-b000000-o0001.json.123").write_text("{}")
+        (spool.workers_dir / ".tmp-w1.json.123").write_text('{"worker": "w1"}')
+        assert spool.list_claimable() == [lease.lease_id]
+        assert spool.workers() == []
+
     def test_reclaim_makes_lease_claimable_again(self, two_op_program, pool, tmp_path):
         spool = LeaseSpool(tmp_path / "spool")
         digest = spool.init_coordinator(self._evaluator(two_op_program))
@@ -276,20 +290,29 @@ class TestElasticParity:
 # ----------------------------------------------------------------------
 class TestElasticChurn:
     def test_hard_killed_worker_is_reclaimed_bitwise(
-        self, two_op_program, tmp_path
+        self, two_op_program, tmp_path, monkeypatch
     ):
         spool_dir = tmp_path / "spool"
         spool = LeaseSpool(spool_dir)
-        # Pre-initialize the spool so the chaos worker is live before the
-        # run starts; the real coordinator re-inits (generation 2) and the
-        # worker reloads the evaluator on digest mismatch.
+        # Pre-initialize the spool so the chaos worker polls it before the
+        # run starts; the real coordinator re-inits (generation 2).
         spool.init_coordinator(None)
         procs = spawn_workers(
             spool_dir, 1, lease_ttl=0.4, poll_interval=0.01,
             name_prefix="chaos", die_after_claims=1,
         )
+        # Claim barrier: the coordinator starts collecting only once the
+        # chaos worker has died holding a claim on a batch-0 lease.  That
+        # lease can then complete only through the deadline reclaim — the
+        # coordinator's inline fallback never gets to race the claim.
+        collect = ElasticBatchEvaluator._collect
+
+        def collect_after_death(self, leases, outcomes, tracer):
+            procs[0].join(timeout=60)
+            return collect(self, leases, outcomes, tracer)
+
+        monkeypatch.setattr(ElasticBatchEvaluator, "_collect", collect_after_death)
         try:
-            _wait_for_live_worker(spool)
             reference = _tune(two_op_program)
             tracer = Tracer()
             with use_tracer(tracer):

@@ -52,7 +52,7 @@ def _cli_tune(tmp_path: pathlib.Path, tag: str) -> tuple[pathlib.Path, pathlib.P
     code = main(
         [
             "tune", str(dsl),
-            "--evals", "10", "--pool", "100", "--seed", "3", "--fast-model",
+            "--evals", "10", "--pool", "100", "--seed", "3",
             "--trace", str(trace), "--checkpoint-dir", str(ck),
         ]
     )

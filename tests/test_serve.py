@@ -55,18 +55,48 @@ class TestStoreKey:
             return tuner.run_manifest("m", [two_op_program])
 
         base = StoreKey.from_manifest(manifest())
-        assert StoreKey.from_manifest(manifest(workers=4)) == base
-        assert StoreKey.from_manifest(manifest(fast_model=True)) == base
         # search_workers is bitwise-neutral (the parallel search core is
-        # pinned identical to serial) and must not fragment the address.
+        # pinned identical to serial) and must not fragment the address;
+        # neither may the elastic worker count (merged by lease ordinal).
         assert StoreKey.from_manifest(manifest(search_workers=2)) == base
         assert StoreKey.from_manifest(manifest(search_workers=8)) == base
+        assert StoreKey.from_manifest(manifest(elastic=2)) == base
         # ... but result-relevant settings change the address.
         assert StoreKey.from_manifest(manifest(max_evaluations=7)) != base
         assert StoreKey.from_manifest(manifest(batch_parallelism=3)) != base
         assert StoreKey.from_manifest(manifest(acquisition="lcb")) != base
-        assert "workers" in RESULT_NEUTRAL_SETTINGS
         assert "search_workers" in RESULT_NEUTRAL_SETTINGS
+        assert "elastic" in RESULT_NEUTRAL_SETTINGS
+        # The simulated rig's lanes (the CLI's --workers) are stored
+        # results: the simulated search wall depends on them.
+        assert "batch_parallelism" not in RESULT_NEUTRAL_SETTINGS
+
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({}, "b893a2f2cd29839e"),
+            ({"backend": "ttgt"}, "2b7570d4e49fc7be"),
+            ({"acquisition": "lcb"}, "ae0f5bd3469f4a90"),
+            ({"batch_parallelism": 2}, "6a2cd57ffcfa5eb1"),
+            ({"searcher": "sweep"}, "0d9312decdc46d62"),
+        ],
+    )
+    def test_store_key_digests_pinned(self, two_op_program, overrides, digest):
+        # Store records written by earlier versions must stay servable:
+        # dropping settings from the manifest may not move any address.
+        tuner = Autotuner(GTX980, seed=0, **overrides)
+        manifest = tuner.run_manifest("m", [two_op_program])
+        assert StoreKey.from_manifest(manifest).digest() == digest
+
+    def test_neutral_settings_are_manifest_keys(self, two_op_program):
+        # Every neutral name must be a key run_manifest can write, so the
+        # set cannot carry dead entries or drift from the manifest schema.
+        written = set()
+        for overrides in ({}, {"elastic": 1, "acquisition": "lcb",
+                               "backend": "ttgt"}):
+            tuner = Autotuner(GTX980, seed=0, **overrides)
+            written |= set(tuner.run_manifest("m", [two_op_program]).settings)
+        assert RESULT_NEUTRAL_SETTINGS <= written
 
     def test_backend_is_store_key_relevant(self, two_op_program):
         # The backend decides which kernel spaces exist, so "ttgt" and
@@ -305,9 +335,31 @@ class TestAutotunerStore:
             two_op_program
         )
         again = Autotuner(
-            GTX980, result_store=root, workers=2, fast_model=True, **self.SETTINGS
+            GTX980, result_store=root, search_workers=2, elastic=2,
+            **self.SETTINGS
         ).tune_program(two_op_program)
         assert again.store_hit
+
+    def test_rig_lanes_are_not_served_to_serial_request(
+        self, two_op_program, tmp_path
+    ):
+        # Regression: a run stored with 2 simulated rig lanes (what
+        # `tune --workers 2` sets) was once served to a serial request,
+        # which then reported the halved lane-scaled search wall.
+        root = tmp_path / "rs"
+        laned = Autotuner(
+            GTX980, result_store=root, batch_parallelism=2, **self.SETTINGS
+        ).tune_program(two_op_program)
+        serial = Autotuner(
+            GTX980, result_store=root, **self.SETTINGS
+        ).tune_program(two_op_program)
+        cold = Autotuner(GTX980, **self.SETTINGS).tune_program(two_op_program)
+        assert not serial.store_hit
+        assert serial.search_seconds == cold.search_seconds
+        assert laned.search_seconds < serial.search_seconds
+        # Lanes are accounting only: same champion and history.
+        assert laned.search.history == serial.search.history
+        assert laned.best_config == serial.best_config
 
     def test_store_env_var(self, two_op_program, tmp_path, monkeypatch):
         root = tmp_path / "env_rs"
@@ -605,6 +657,28 @@ class TestCLI:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "result store: hit" in second
+
+    def test_tune_workers_flag_is_store_keyed(self, tmp_path, capsys):
+        from repro.cli import main
+
+        args = [
+            "tune", "lg3", "--arch", "k20", "--store", str(tmp_path / "rs"),
+            "--evals", "10", "--batch", "5", "--pool", "100", "--seed", "3",
+        ]
+        assert main(args + ["--workers", "2"]) == 0
+        laned = capsys.readouterr().out
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        assert "result store: hit" not in serial
+
+        def line(out, prefix):
+            return next(x for x in out.splitlines() if x.startswith(prefix))
+
+        assert line(laned, "best configuration:") == line(
+            serial, "best configuration:"
+        )
+        assert line(laned, "device rate") == line(serial, "device rate")
+        assert line(laned, "lg3 on") != line(serial, "lg3 on")  # search=...s
 
     def test_store_inspect_tool(self, tmp_path, capsys):
         import importlib.util

@@ -56,10 +56,6 @@ class TestSearchTelemetry:
         assert payload["totals"]["evaluations"] == result.search.evaluations
         assert len(payload["batches"]) == len(result.search.telemetry.records)
 
-    def test_disabled_telemetry(self, two_op_program):
-        result = _tuner(telemetry=False).tune_program(two_op_program)
-        assert result.search.telemetry is None
-
     def test_without_counters_assumes_fresh_evals(self):
         tel = SearchTelemetry()
         tel.record_batch(batch_size=5, best_so_far=1.0)
